@@ -591,8 +591,7 @@ def run_scaleout(args: argparse.Namespace) -> int:
             print(f"    {event.describe()}")
     print()
     if counts != [1]:
-        print(f"  exchange: transport={args.transport}, "
-              f"batch={args.batch} window(s)/round")
+        print(f"  exchange: batch={args.batch} window(s)/round")
     print(f"{'parts':>5s} {'events':>9s} {'wall':>8s} {'setup':>7s} "
           f"{'events/s':>10s} {'goodput':>9s} {'rounds':>6s} "
           f"{'restarts':>8s}  digest")
@@ -602,8 +601,7 @@ def run_scaleout(args: argparse.Namespace) -> int:
             result = run_single(scenario, faults=faults) if count == 1 \
                 else run_partitioned(scenario, count, faults=faults,
                                      max_restarts=args.max_restarts,
-                                     batch=args.batch,
-                                     transport=args.transport)
+                                     batch=args.batch)
         except ScaleoutError as exc:
             print(f"\nSCALE-OUT FAILURE at {count} partitions: {exc}",
                   file=sys.stderr)
@@ -857,10 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", type=int, default=8, metavar="K",
         help="lookahead-width budget granted per barrier round; 1 = the "
              "classic window-per-round protocol (default: 8)")
-    scaleout.add_argument(
-        "--transport", default="shm", choices=("pipe", "shm"),
-        help="envelope transport: shared-memory rings with a pipe "
-             "doorbell, or the plain pipe (default: shm)")
     scaleout.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write per-run summaries as JSON")

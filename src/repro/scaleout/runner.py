@@ -8,7 +8,8 @@ coordinator in :mod:`repro.scaleout.supervisor`, which drives the
 conservative-lookahead barrier protocol:
 
 1. Every worker reports its next local event time and flushes its
-   outbox of captured cross-partition envelopes.
+   outbox of captured cross-partition envelopes, over its one
+   :mod:`multiprocessing` pipe to the coordinator.
 2. The coordinator computes the global horizon ``N`` — the minimum over
    all reported next-event times and all undelivered envelope arrivals —
    and the window end ``W = N + L - 1``, where ``L`` is the fiber
@@ -130,6 +131,8 @@ class ScaleoutResult:
             "replayed_windows": self.replayed_windows,
             "worker_kills": self.worker_kills,
             "digest": self.digest,
+            "timing": {phase: [round(value, 6) for value in values]
+                       for phase, values in self.timing.items()},
         }
 
 
@@ -166,8 +169,7 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
                     hang_timeout_s: float = 600.0,
                     backoff_base_s: float = 0.05,
                     snapshot_every: int = 0,
-                    batch: int = 8, transport: str = "shm",
-                    registry=None) -> ScaleoutResult:
+                    batch: int = 8, registry=None) -> ScaleoutResult:
     """Run the scenario sharded across ``num_partitions`` processes.
 
     Delegates to the crash-tolerant :class:`Supervisor`: workers that
@@ -176,9 +178,8 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
     partition, after which :class:`~repro.errors.ScaleoutError` carries
     the per-partition forensics.  ``batch`` is the budget of
     lookahead-widths granted per barrier round (1 = the classic
-    window-per-round protocol) and ``transport`` selects how envelope
-    blocks travel (``"shm"`` ring buffers or the plain ``"pipe"``); both
-    leave the digest bit-identical.  ``registry`` (a
+    window-per-round protocol); every value leaves the digest
+    bit-identical.  ``registry`` (a
     :class:`~repro.observe.MetricRegistry`) mirrors the recovery
     counters plus the per-partition round-timing breakdown as
     ``scaleout.*`` metrics.
@@ -189,7 +190,7 @@ def run_partitioned(scenario: ScaleoutScenario, num_partitions: int, *,
         scenario, num_partitions, faults=faults,
         max_restarts=max_restarts, hang_timeout_s=hang_timeout_s,
         backoff_base_s=backoff_base_s, snapshot_every=snapshot_every,
-        batch=batch, transport=transport, registry=registry)
+        batch=batch, registry=registry)
     outcome = supervisor.run()
     return ScaleoutResult(
         scenario.name, num_partitions, outcome.events, outcome.sim_ns,

@@ -73,14 +73,11 @@ throughput:
   shortest paths, instead of the single global minimum — partitions
   separated by multiple cuts get proportionally wider windows.
 
-* **Shared-memory envelope transport.**  With ``transport="shm"``,
-  envelope blocks are batch-pickled into a per-worker-per-direction
-  :class:`~repro.scaleout.wire.ShmRing` and only a doorbell crosses the
-  pipe; ``transport="pipe"`` keeps the original pickle-through-pipe
-  path.  Either way the pipe remains the control channel the
-  multiplexed wait watches, and the window log stores *logical*
-  messages, so replay is transport-agnostic and re-grants identical
-  budgets.
+* **One pipe per worker.**  Every coordinator <-> worker message,
+  envelope batches included, is an ordinary :mod:`multiprocessing`
+  pipe message; the same pipe is what the multiplexed wait watches.
+  The window log stores those messages as sent, so replay re-grants
+  identical budgets.
 
 * **Idle-worker elision.**  A worker whose granted window contains no
   local event and no due envelope is simply not messaged that round —
@@ -109,13 +106,8 @@ from .escl import (ScaleoutScenario, fingerprint_digest, scenarios,
                    spawn_traffic)
 from .partition import (PartitionSystem, lookahead_matrix, lookahead_ns,
                         partition_fabric)
-from .wire import DEFAULT_RING_BYTES, Channel, ShmRing
 
-__all__ = ["TRANSPORTS", "Supervisor", "SupervisorOutcome",
-           "escl_campaign"]
-
-#: Envelope transports the supervisor speaks.
-TRANSPORTS = ("pipe", "shm")
+__all__ = ["Supervisor", "SupervisorOutcome", "escl_campaign"]
 
 #: Hard ceiling on the exponential restart backoff (seconds).
 _BACKOFF_CAP_S = 2.0
@@ -146,14 +138,10 @@ def escl_campaign(name: str, cfg, **overrides) -> FaultScenario:
 
 
 def _worker_main(conn, scenario_name: str, num_partitions: int,
-                 index: int, faults_spec: Optional[dict] = None,
-                 rings: Optional[tuple] = None) -> None:
+                 index: int, faults_spec: Optional[dict] = None) -> None:
     """Worker process: one partition, advanced in coordinator windows.
 
-    Replies in lock-step to coordinator commands (through a
-    :class:`~repro.scaleout.wire.Channel`; ``rings`` is the fork-
-    inherited ``(coordinator->worker, worker->coordinator)`` shm pair,
-    or ``None`` for the plain pipe transport):
+    Replies in lock-step to coordinator commands on ``conn``:
 
     * ``("advance", window, envelopes)`` → inject, run to the window,
       answer ``("state", peek, outbox, events_processed, compute_s)``
@@ -164,24 +152,21 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
     * ``("finish",)`` → answer ``("result", fragment, events_processed,
       now)`` and exit.
 
-    Any exception is reported as ``("error", traceback_text)`` straight
-    down the raw pipe (never the ring — the ring may be the broken
-    part) before the worker exits non-zero, so the coordinator sees the
-    worker-side stack instead of a silent death.
+    Any exception is reported as ``("error", traceback_text)`` before
+    the worker exits non-zero, so the coordinator sees the worker-side
+    stack instead of a silent death.
     """
     try:
-        channel = Channel(conn) if rings is None \
-            else Channel(conn, tx=rings[1], rx=rings[0])
         scenario = scenarios()[scenario_name]
         partitioning = partition_fabric(scenario.fabric, num_partitions)
         system = PartitionSystem(partitioning, index, scenario.config())
         if faults_spec is not None:
             system.attach_faults(FaultScenario.from_dict(faults_spec))
         traffic = spawn_traffic(scenario, system)
-        channel.send(("state", system.peek(), system.drain_outbox(),
-                      system.sim.events_processed, 0.0))
+        conn.send(("state", system.peek(), system.drain_outbox(),
+                   system.sim.events_processed, 0.0))
         while True:
-            message = channel.recv()
+            message = conn.recv()
             if message[0] == "advance":
                 _tag, window, envelopes = message
                 began = time.perf_counter()
@@ -192,15 +177,14 @@ def _worker_main(conn, scenario_name: str, num_partitions: int,
                 # surface as run()'s in-the-past ValueError mid-run.
                 system.run(until=max(window, system.now))
                 compute = time.perf_counter() - began
-                channel.send(("state", system.peek(),
-                              system.drain_outbox(),
-                              system.sim.events_processed, compute))
+                conn.send(("state", system.peek(), system.drain_outbox(),
+                           system.sim.events_processed, compute))
             elif message[0] == "snapshot":
-                channel.send(("snapshot", traffic.fragment(),
-                              system.sim.events_processed, system.now))
+                conn.send(("snapshot", traffic.fragment(),
+                           system.sim.events_processed, system.now))
             elif message[0] == "finish":
-                channel.send(("result", traffic.fragment(),
-                              system.sim.events_processed, system.now))
+                conn.send(("result", traffic.fragment(),
+                           system.sim.events_processed, system.now))
                 conn.close()
                 return
             else:  # pragma: no cover - protocol misuse
@@ -232,15 +216,11 @@ class _Worker:
         self.index = index
         self.process: Optional[mp.process.BaseProcess] = None
         self.conn = None
-        #: The transport wrapper around ``conn`` (pipe or shm-backed).
-        self.channel: Optional[Channel] = None
-        #: ``(coordinator->worker, worker->coordinator)`` shm rings for
-        #: the current incarnation (``None`` under the pipe transport).
-        self.rings: Optional[tuple] = None
         #: Round-timing breakdown, accumulated across the run:
         #: worker-reported seconds inside inject+run, coordinator-side
         #: seconds blocked on this worker past its reported compute,
-        #: and coordinator-side seconds encoding/decoding its messages.
+        #: and coordinator-side seconds sending and receiving (pickling
+        #: and unpickling) its messages.
         self.compute_s = 0.0
         self.wait_s = 0.0
         self.exchange_s = 0.0
@@ -319,9 +299,7 @@ class Supervisor:
                  faults: Optional[FaultScenario] = None,
                  max_restarts: int = 2, hang_timeout_s: float = 600.0,
                  backoff_base_s: float = 0.05, snapshot_every: int = 0,
-                 batch: int = 8, transport: str = "shm",
-                 ring_bytes: int = DEFAULT_RING_BYTES,
-                 registry=None) -> None:
+                 batch: int = 8, registry=None) -> None:
         if num_partitions < 2:
             raise ScaleoutError(
                 "the supervisor coordinates >= 2 workers; "
@@ -329,10 +307,6 @@ class Supervisor:
         if batch < 1:
             raise ScaleoutError(
                 f"batch must be >= 1 window per round, got {batch}")
-        if transport not in TRANSPORTS:
-            raise ScaleoutError(
-                f"unknown transport {transport!r} "
-                f"(have: {', '.join(TRANSPORTS)})")
         self.scenario = scenario
         self.num_partitions = num_partitions
         self.max_restarts = max_restarts
@@ -340,8 +314,6 @@ class Supervisor:
         self.backoff_base_s = backoff_base_s
         self.snapshot_every = snapshot_every
         self.batch = batch
-        self.transport = transport
-        self.ring_bytes = ring_bytes
         self.partitioning = partition_fabric(scenario.fabric,
                                              num_partitions)
         self.owners = self.partitioning.owner_map()
@@ -413,8 +385,8 @@ class Supervisor:
                         ("compute_s", "worker-reported inject+run time"),
                         ("wait_s", "coordinator time blocked past the "
                                    "worker's reported compute"),
-                        ("exchange_s", "coordinator encode/decode/"
-                                       "send/recv time")):
+                        ("exchange_s", "coordinator pipe send/recv "
+                                       "time, pickling included")):
                     self._gauges[f"p{index}.{phase}"] = registry.gauge(
                         f"scaleout.p{index}.{phase}",
                         f"partition {index}: {what}", unit="s")
@@ -537,18 +509,10 @@ class Supervisor:
 
     def _spawn(self, worker: _Worker) -> None:
         parent, child = self.ctx.Pipe()
-        rings = None
-        if self.transport == "shm":
-            # Fresh rings per incarnation, created *before* the fork so
-            # the child inherits the mappings — replay over a respawn
-            # never reads a segment the dead incarnation wrote.
-            self._unlink_rings(worker)
-            rings = (ShmRing(self.ring_bytes), ShmRing(self.ring_bytes))
-            worker.rings = rings
         process = self.ctx.Process(
             target=_worker_main,
             args=(child, self.scenario.name, self.num_partitions,
-                  worker.index, self._faults_spec, rings),
+                  worker.index, self._faults_spec),
             name=(f"scaleout-{self.scenario.name}-p{worker.index}"
                   f"-r{worker.restarts}"),
             daemon=True)
@@ -557,8 +521,6 @@ class Supervisor:
         child.close()
         worker.process = process
         worker.conn = parent
-        worker.channel = (Channel(parent) if rings is None
-                          else Channel(parent, tx=rings[0], rx=rings[1]))
         worker.deadline = time.monotonic() + self.hang_timeout_s
 
     # ------------------------------------------------------------------
@@ -567,16 +529,11 @@ class Supervisor:
 
     def _send(self, worker: _Worker, message: tuple) -> None:
         """Log then send; a broken pipe triggers recovery (which will
-        resend the just-logged message as the replay tail).
-
-        The log holds the *logical* message; the channel decides how it
-        travels (ring block vs pipe), so replay over a fresh incarnation
-        with fresh rings re-grants byte-identical budgets.
-        """
+        resend the just-logged message as the replay tail)."""
         worker.log.append(message)
         began = time.perf_counter()
         try:
-            worker.channel.send(message)
+            worker.conn.send(message)
             worker.exchange_s += time.perf_counter() - began
             worker.sent_at = began
             worker.deadline = time.monotonic() + self.hang_timeout_s
@@ -645,16 +602,15 @@ class Supervisor:
                 break
 
     def _recv(self, worker: _Worker) -> tuple:
-        """Raw pipe receive plus timed shm-block decode.
+        """Timed receive of one message that is already ready.
 
         The blocking happens in :func:`multiprocessing.connection.wait`
         before this is called (that is *wait* time, charged in
-        :meth:`_absorb`); what this times — unpickling the doorbell's
-        ring block — is exchange cost.
+        :meth:`_absorb`); what this times — reading the message off the
+        pipe and unpickling it — is exchange cost.
         """
-        raw = worker.conn.recv()
         began = time.perf_counter()
-        message = worker.channel.decode(raw)
+        message = worker.conn.recv()
         worker.exchange_s += time.perf_counter() - began
         return message
 
@@ -770,7 +726,7 @@ class Supervisor:
         for position in range(1, log_len + 1):
             entry = worker.log[position - 1]
             try:
-                worker.channel.send(entry)
+                worker.conn.send(entry)
             except (BrokenPipeError, OSError):
                 raise _WorkerDied("crash",
                                   "pipe broke during replay",
@@ -823,7 +779,7 @@ class Supervisor:
                 timeout=remaining)
             if worker.conn in ready or worker.conn.poll(0):
                 try:
-                    return worker.channel.decode(worker.conn.recv())
+                    return worker.conn.recv()
                 except (EOFError, OSError):
                     raise _WorkerDied(
                         "crash", "pipe EOF during replay",
@@ -890,19 +846,7 @@ class Supervisor:
         if worker.conn is not None:
             worker.conn.close()
             worker.conn = None
-        worker.channel = None
-        self._unlink_rings(worker)
         worker.process = None
-
-    def _unlink_rings(self, worker: _Worker) -> None:
-        """Release the worker's shm segments (process already gone)."""
-        rings = worker.rings
-        if rings is None:
-            return
-        worker.rings = None
-        for ring in rings:
-            ring.close()
-            ring.unlink()
 
     def _reap_all(self) -> None:
         for worker in self.workers:
