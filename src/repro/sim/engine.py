@@ -8,10 +8,9 @@ order, with FIFO tie-breaking for determinism.
 Hot-path design (see ``docs/PERFORMANCE.md`` for the full story):
 
 * The agenda is a **calendar queue over timestamp cohorts**: a dict maps
-  each pending timestamp to the plain list of events scheduled at it, an
-  integer min-heap orders the *distinct* timestamps, and a ladder-style
-  overflow rung absorbs sparse far-future events (watchdog/RTO timers)
-  without polluting the heap.  Because the engine's FIFO sequence numbers
+  each pending timestamp to the plain list of events scheduled at it, and
+  an integer min-heap orders the *distinct* timestamps.  Near and far
+  events take the same path.  Because the engine's FIFO sequence numbers
   are globally increasing, appending to a cohort list *is* the classic
   ``(time, priority, seq)`` ordering — bit for bit — with no per-event
   key allocation and no per-event heap sift.
@@ -49,16 +48,6 @@ _POOL_LIMIT = 2048
 #: the cohort list it still sits in (cohorts are scanned, not popped),
 #: the loop local, and ``getrefcount``'s own argument.
 _UNREFERENCED_COHORT = 3
-
-#: Width of the near-future window covered by the calendar proper.
-#: Events scheduled at or past ``_horizon`` (which always sits at least
-#: this far ahead of the clock) drop onto the overflow rung instead —
-#: an unsorted append-only list, promoted wholesale into calendar
-#: buckets when the near window drains.  2^21 ns ≈ 2.1 ms of simulated
-#: time: comfortably past every per-hop/per-packet delay in the model,
-#: so only genuinely sparse timers (retransmit watchdogs, reassembly
-#: GC, health probes) ever take the rung detour.
-_RUNG_SPAN = 1 << 21
 
 
 class SimulationError(Exception):
@@ -107,17 +96,11 @@ class Simulator:
         # Calendar-queue agenda.  Invariants (see docs/PERFORMANCE.md):
         #  * every key of _buckets/_urgent_buckets is on the _times heap
         #    (duplicates tolerated, deduplicated at pop);
-        #  * every bucket key < _horizon <= every rung entry's time;
-        #  * self.now < _horizon at all times, so scheduling at the
-        #    current instant never needs a horizon check;
         #  * cohort lists are in FIFO (= global sequence) order, because
         #    appends happen in scheduling order.
         self._buckets: dict[int, list[Any]] = {}
         self._urgent_buckets: dict[int, list[Any]] = {}
         self._times: list[int] = []
-        self._far: list[tuple[int, Any]] = []
-        self._far_urgent: list[tuple[int, Any]] = []
-        self._horizon: int = _RUNG_SPAN
         #: While :meth:`run` drains the cohort at ``self.now``, the live
         #: cohort list; events scheduled at the current instant append
         #: here and are processed in the same pass.
@@ -157,11 +140,9 @@ class Simulator:
         bucket = buckets.get(time)
         if bucket is not None:
             bucket.append(item)
-        elif time < self._horizon:
+        else:
             buckets[time] = [item]
             heappush(self._times, time)
-        else:
-            self._far.append((time, item))
 
     def _schedule_urgent(self, time: int, item: Any) -> None:
         """Urgent variant: sorts before every normal event at ``time``."""
@@ -172,59 +153,9 @@ class Simulator:
         bucket = buckets.get(time)
         if bucket is not None:
             bucket.append(item)
-        elif time < self._horizon:
+        else:
             buckets[time] = [item]
             heappush(self._times, time)
-        else:
-            self._far_urgent.append((time, item))
-
-    def _enqueue(self, event: Any, delay: int, urgent: bool = False) -> None:
-        """Place a triggered event on the agenda ``delay`` ticks from now.
-
-        ``urgent`` events sort before normal events at the same timestamp
-        (used for interrupt delivery).  Internal: callers guarantee a
-        non-negative delay (the single authoritative negative-delay check
-        lives in :class:`~repro.sim.events.Timeout`).
-        """
-        if urgent:
-            self._schedule_urgent(self.now + delay, event)
-        else:
-            self._schedule(self.now + delay, event)
-
-    def _promote(self) -> None:
-        """Fold the overflow rung back into calendar buckets.
-
-        Called when the near window has drained (or is peeked) while rung
-        entries remain.  Rung entries are appended in scheduling order, so
-        walking the rung in order preserves per-cohort FIFO; the horizon
-        then jumps past everything just promoted, restoring the
-        bucket-below/rung-above invariant.
-        """
-        buckets = self._buckets
-        urgent_buckets = self._urgent_buckets
-        times = self._times
-        max_time = 0
-        for time, item in self._far:
-            bucket = buckets.get(time)
-            if bucket is not None:
-                bucket.append(item)
-            else:
-                buckets[time] = [item]
-                heappush(times, time)
-            if time > max_time:
-                max_time = time
-        for time, item in self._far_urgent:
-            bucket = urgent_buckets.get(time)
-            if bucket is not None:
-                bucket.append(item)
-            else:
-                urgent_buckets[time] = [item]
-                heappush(times, time)
-            if time > max_time:
-                max_time = time
-        self._far.clear()
-        self._far_urgent.clear()
-        self._horizon = max(self.now + _RUNG_SPAN, max_time + 1)
 
     def _halt(self, error: BaseException,
               cause: Optional[BaseException] = None) -> None:
@@ -253,19 +184,14 @@ class Simulator:
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """An event that fires ``delay`` ticks from now with ``value``."""
-        if type(delay) is not int:
-            # One authoritative coercion for *both* the free-list and
-            # fresh-allocation paths (int() truncation toward zero, as
-            # documented).  Before this lived here, a float delay was
-            # truncated on the pool-miss path but shunted past the pool
-            # on hits — the same call site could round differently
-            # depending on pool state.
-            delay = int(delay)
         pool = self._timeout_pool
         if pool:
+            # Mirror Timeout.__init__'s authoritative coercion and check
+            # (pinned by tests) so pool hits round and validate exactly
+            # like fresh allocations.
+            if type(delay) is not int:
+                delay = int(delay)
             if delay < 0:
-                # Mirror Timeout.__init__'s authoritative check (pinned
-                # by tests) so pool hits validate identically.
                 raise ValueError(f"negative timeout delay {delay}")
             timeout = pool.pop()
             timeout.delay = delay
@@ -281,11 +207,9 @@ class Simulator:
             bucket = buckets.get(time)
             if bucket is not None:
                 bucket.append(timeout)
-            elif time < self._horizon:
+            else:
                 buckets[time] = [timeout]
                 heappush(self._times, time)
-            else:
-                self._far.append((time, timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -318,8 +242,7 @@ class Simulator:
         if run is not None:
             run.append(event)
             return event
-        # Cold path (scheduling from outside a drain): current-instant
-        # inserts never need the horizon check (now < _horizon always).
+        # Cold path (scheduling from outside a drain).
         time = self.now
         buckets = self._buckets
         bucket = buckets.get(time)
@@ -347,17 +270,12 @@ class Simulator:
     def peek(self) -> Optional[int]:
         """Timestamp of the next agenda entry, or None if idle.
 
-        Reads the calendar head (the distinct-timestamp heap); if only
-        rung entries remain they are promoted first, so the answer is
-        exact either way.  The scale-out coordinator's per-window
-        lookahead is computed from this.
+        Reads the calendar head (the distinct-timestamp heap), which holds
+        every pending timestamp, so the answer is exact.  The scale-out
+        coordinator's per-window lookahead is computed from this.
         """
-        if self._times:
-            return self._times[0]
-        if self._far or self._far_urgent:
-            self._promote()
-            return self._times[0]
-        return None
+        times = self._times
+        return times[0] if times else None
 
     def step(self) -> None:
         """Process exactly one agenda entry.
@@ -371,10 +289,7 @@ class Simulator:
             self._raise_halt()
         times = self._times
         if not times:
-            if self._far or self._far_urgent:
-                self._promote()
-            else:
-                raise RuntimeError("step() on an empty agenda")
+            raise RuntimeError("step() on an empty agenda")
         time = times[0]
         urgent_buckets = self._urgent_buckets
         bucket = urgent_buckets.get(time)
@@ -440,12 +355,7 @@ class Simulator:
         run_list: list[Any] = []
         index = -1
         try:
-            while True:
-                if not times:
-                    if self._far or self._far_urgent:
-                        self._promote()
-                    else:
-                        break
+            while times:
                 time = times[0]
                 if time > limit:
                     break
@@ -533,12 +443,6 @@ class Simulator:
                     heappush(times, time)
         if until is not None:
             self.now = until
-            if until >= self._horizon:
-                # Keep the now-below-horizon invariant across idle gaps.
-                if self._far or self._far_urgent:
-                    self._promote()
-                else:
-                    self._horizon = until + _RUNG_SPAN
         return self.now
 
     def run_process(self, generator: Generator[Event, Any, Any],

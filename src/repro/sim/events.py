@@ -18,9 +18,8 @@ so the cohort list *is* the classic ``(time, priority, seq)`` FIFO
 order, with no per-event sequence number or heap sift at all.  The
 trigger sites here inline the calendar insert (see
 :meth:`repro.sim.engine.Simulator._schedule` for the annotated copy):
-``succeed``/``fail`` fire at the current instant, which the engine
-guarantees lies below the overflow-rung horizon, while
-:class:`Timeout` may land arbitrarily far out and so checks it.
+``succeed``/``fail`` fire at the current instant and :class:`Timeout`
+``delay`` ticks out, near or far alike.
 """
 
 from __future__ import annotations
@@ -188,15 +187,17 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    The single authoritative negative-delay check lives here (the agenda
-    itself trusts its callers), and the engine keeps a free list of
-    processed, unreferenced Timeouts — see
-    :meth:`repro.sim.engine.Simulator.timeout`.
+    The single authoritative delay coercion (``int()``, truncating toward
+    zero) and negative-delay check live here (the agenda itself trusts its
+    callers), and the engine keeps a free list of processed, unreferenced
+    Timeouts — see :meth:`repro.sim.engine.Simulator.timeout`.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None) -> None:
+        if type(delay) is not int:
+            delay = int(delay)
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay}")
         self.sim = sim
@@ -214,11 +215,9 @@ class Timeout(Event):
         bucket = buckets.get(time)
         if bucket is not None:
             bucket.append(self)
-        elif time < sim._horizon:
+        else:
             buckets[time] = [self]
             heappush(sim._times, time)
-        else:
-            sim._far.append((time, self))
 
 
 class Condition(Event):

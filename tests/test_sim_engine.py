@@ -201,12 +201,18 @@ class TestEvents:
         sim.run()
         assert timeout.value == "done"
 
-    def test_float_delay_truncates_on_fresh_path(self, sim):
-        """Non-int delays are coerced once, up front, via int()."""
-        timeout = sim.timeout(5.9)
-        assert timeout.delay == 5
-        sim.run()
-        assert sim.now == 5
+    def test_float_delay_truncates_on_fresh_path(self):
+        """Non-int delays are coerced once, up front, via int() — also
+        when a Timeout is constructed directly, so the clock stays an
+        int either way."""
+        for make in (lambda sim: sim.timeout(5.9),
+                     lambda sim: Timeout(sim, 5.9)):
+            sim = Simulator()
+            timeout = make(sim)
+            assert timeout.delay == 5
+            sim.run()
+            assert sim.now == 5
+            assert type(sim.now) is int
 
     def test_float_delay_truncates_identically_on_pool_hit(self, sim):
         """Pool-hit and pool-miss paths must round the same way.  (The
@@ -224,6 +230,8 @@ class TestEvents:
         """int() truncation happens before validation, on both paths."""
         with pytest.raises(ValueError, match=r"^negative timeout delay -1$"):
             sim.timeout(-1.5)
+        with pytest.raises(ValueError, match=r"^negative timeout delay -1$"):
+            Timeout(sim, -1.5)
         sim.timeout(0)
         sim.run()
         assert sim._timeout_pool
